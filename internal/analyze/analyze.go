@@ -267,8 +267,8 @@ func DefaultConfig() Config {
 			"kflushing/internal/alloc.epochGuard": true,
 		},
 		EpochCopyFuncs: map[string]bool{
-			"kflushing/internal/index.Entry.TopK": true,
-			"kflushing/internal/index.Entry.All":  true,
+			"kflushing/internal/index.Entry.AppendTopK": true,
+			"kflushing/internal/index.Entry.AppendAll":  true,
 		},
 		EpochPinFuncs: map[string]bool{
 			"kflushing/internal/alloc.Recycler.Pin": true,

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,6 +16,13 @@ import (
 // for Phase 3) and reports whether it is a candidate at all. The
 // returned victims are ordered least-recent first and their estimated
 // freeable bytes sum to at least target when enough candidates exist.
+//
+// Victim order is total: timestamps tie often (one multi-key record
+// stamps several entries with the same arrival), so ties break on the
+// entry's creation ordinal (see compareVictims). Given the same
+// candidates, a selector
+// returns the same victims in the same order however the scan visited
+// them.
 type Selector[K comparable] interface {
 	Select(ix *index.Index[K], target int64, classify func(*index.Entry[K]) (ts int64, ok bool)) []*index.Entry[K]
 }
@@ -25,12 +33,26 @@ type victim[K comparable] struct {
 	fb int64
 }
 
-// victimHeap is a max-heap on timestamp: the most recent buffered victim
-// sits at the top, ready to be displaced by older candidates.
+// compareVictims orders victims least recent first: by timestamp, then
+// the most recently created entry first. Ties are common — one
+// multi-key record stamps several entries with the same arrival, and
+// every never-queried entry shares Phase 3's zero query time — and
+// among them a long-lived entry is most likely a frequent key (it has
+// kept drawing postings since it was created), the keys correlated
+// queries ask for, while a freshly created one is most likely rare.
+func compareVictims[K comparable](a, b victim[K]) int {
+	if c := cmp.Compare(a.ts, b.ts); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.e.Ord(), a.e.Ord())
+}
+
+// victimHeap is a max-heap in victim order: the most recent buffered
+// victim sits at the top, ready to be displaced by older candidates.
 type victimHeap[K comparable] []victim[K]
 
 func (h victimHeap[K]) Len() int            { return len(h) }
-func (h victimHeap[K]) Less(i, j int) bool  { return h[i].ts > h[j].ts }
+func (h victimHeap[K]) Less(i, j int) bool  { return compareVictims(h[i], h[j]) > 0 }
 func (h victimHeap[K]) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *victimHeap[K]) Push(x interface{}) { *h = append(*h, x.(victim[K])) }
 func (h *victimHeap[K]) Pop() interface{} {
@@ -47,8 +69,9 @@ func (h *victimHeap[K]) Pop() interface{} {
 // — is fanned out over the index shards with a bounded worker pool of
 // min(GOMAXPROCS, shards) goroutines (or `workers`, when positive);
 // shards are handed out through an atomic cursor so uneven shards cannot
-// stall the pool. Candidate collection is order-insensitive: selection
-// itself stays sequential in the callers.
+// stall the pool. The candidates come back in no fixed order — shard
+// maps iterate randomly and workers interleave — so the selectors must
+// not depend on it: both order victims totally (compareVictims).
 func scanVictims[K comparable](ix *index.Index[K], workers int, classify func(*index.Entry[K]) (int64, bool)) []victim[K] {
 	shards := ix.ShardCount()
 	if workers <= 0 {
@@ -129,7 +152,7 @@ func (s HeapSelector[K]) Select(ix *index.Index[K], target int64, classify func(
 			// Still filling the buffer up to the target.
 			heap.Push(&h, v)
 			total += v.fb
-		case len(h) > 0 && v.ts < h[0].ts:
+		case len(h) > 0 && compareVictims(v, h[0]) < 0:
 			// Older than the most recent buffered victim: admit it,
 			// then shed the most recent victims while the buffer still
 			// meets the target without them.
@@ -141,9 +164,16 @@ func (s HeapSelector[K]) Select(ix *index.Index[K], target int64, classify func(
 			}
 		}
 	}
-	out := make([]victim[K], len(h))
-	copy(out, h)
-	sort.Slice(out, func(i, j int) bool { return out[i].ts < out[j].ts })
+	// The fill phase admits candidates unconditionally, so a recent one
+	// can stay buffered although older victims alone meet the target.
+	// Shedding it here makes the buffer the least-recent prefix that
+	// meets the target — the same set whatever the scan order.
+	for len(h) > 0 && total-h[0].fb >= target {
+		total -= h[0].fb
+		heap.Pop(&h)
+	}
+	out := []victim[K](h)
+	slices.SortFunc(out, compareVictims[K])
 	entries := make([]*index.Entry[K], len(out))
 	for i, v := range out {
 		entries[i] = v.e
@@ -165,7 +195,7 @@ type SortSelector[K comparable] struct {
 // Select implements Selector.
 func (s SortSelector[K]) Select(ix *index.Index[K], target int64, classify func(*index.Entry[K]) (int64, bool)) []*index.Entry[K] {
 	all := scanVictims(ix, s.Workers, classify)
-	sort.Slice(all, func(i, j int) bool { return all[i].ts < all[j].ts })
+	slices.SortFunc(all, compareVictims[K])
 	var total int64
 	var out []*index.Entry[K]
 	for _, v := range all {

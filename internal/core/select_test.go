@@ -258,3 +258,38 @@ func TestSelectorBudgetExactAtShardBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectorsAgreeUnderTies pins the total victim order: with many
+// tied timestamps, the heap selector returns exactly the sort
+// selector's victims — the least-recent prefix meeting the target,
+// ties broken by entry creation ordinal — for any scan parallelism.
+func TestSelectorsAgreeUnderTies(t *testing.T) {
+	f := func(seed int64, nRaw, targetRaw uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nRaw%120) + 1
+		ts := make([]int64, n)
+		for i := range ts {
+			ts[i] = int64(rng.Intn(6) + 1) // heavy ties
+		}
+		ix := buildSelectorIndex(ts)
+		target := int64(targetRaw%2048) + 1
+		want := SortSelector[string]{Workers: 1}.Select(ix, target, classifyArrival)
+		for _, workers := range []int{1, 2, 4} {
+			got := HeapSelector[string]{Workers: workers}.Select(ix, target, classifyArrival)
+			if len(got) != len(want) {
+				t.Logf("workers=%d: %d victims, sort selector %d", workers, len(got), len(want))
+				return false
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Logf("workers=%d: victim %d is %q, sort selector %q", workers, i, got[i].Key(), want[i].Key())
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -346,7 +346,7 @@ func openAndCollect(t *testing.T, dataDir string, pass int) map[uint64]bool {
 	}
 	eng := sys.Engine()
 	eng.Index().Range(func(e *index.Entry[string]) bool {
-		for _, rec := range e.All() {
+		for _, rec := range e.AppendAll(nil) {
 			if rec.PCount() <= 0 {
 				t.Fatalf("pass %d: entry %q posting for record %d has pcount %d",
 					pass, e.Key(), rec.MB.ID, rec.PCount())

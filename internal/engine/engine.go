@@ -207,8 +207,13 @@ type Engine[K comparable] struct {
 	// AllocPolicy=heap.
 	recycler *alloc.Recycler[*store.Record]
 	// scratch pools per-batch ingest scratch slices across IngestBatch
-	// calls. Nil under AllocPolicy=heap.
-	scratch *sync.Pool
+	// calls, qscratch per-query scratch across Search calls. Both nil
+	// under AllocPolicy=heap.
+	scratch  *sync.Pool
+	qscratch *sync.Pool
+	// observesAccess caches whether the policy asks for access
+	// feedback (policy.AccessObserver); queries skip it otherwise.
+	observesAccess bool
 
 	// tun is the adaptive memory controller (nil when AdaptiveMemory is
 	// off). Applied targets are mirrored into the atomics below so the
@@ -265,6 +270,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	e.recycler = alloc.NewRecycler[*store.Record](cfg.AllocPolicy)
 	if cfg.AllocPolicy == alloc.PolicyPooled {
 		e.scratch = &sync.Pool{New: func() any { return &ingestScratch[K]{} }}
+		e.qscratch = &sync.Pool{New: func() any { return &queryScratch{} }}
 	}
 	e.idx = index.New(index.Config[K]{
 		Hash:       cfg.KeyHash,
@@ -317,6 +323,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		e.fsink.pipe = e.pipe
 	}
 	e.pol = cfg.Policy
+	e.observesAccess = policy.ObservesAccess(cfg.Policy)
 	e.pol.Attach(&policy.Resources[K]{
 		Index:   e.idx,
 		Store:   e.store,
@@ -700,6 +707,11 @@ func (e *Engine[K]) FlushNow() (int64, error) {
 // memory probe outcome per key, per-segment disk activity on a miss,
 // and stage timings. Every trace-related branch is guarded by a nil
 // check, so the disabled path adds no allocations.
+//
+// The memory path is map-free: each key's postings are copied in
+// ranking order into pooled scratch (queryScratch) and merged or
+// intersected in place. The only allocation a hit makes is the
+// caller-owned Result.Items.
 func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	if e.closed.Load() {
 		return query.Result{}, ErrClosed
@@ -718,7 +730,7 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	tr := req.Trace
 	// Slow-query capture: with a threshold configured and no caller
 	// trace, attach one speculatively — whether it is kept is decided by
-	// the query's final wall time.
+	// the query's final wall time. Its keys are encoded only then.
 	slowCapture := tr == nil && e.slowlog != nil
 	if slowCapture {
 		tr = &trace.Trace{}
@@ -726,10 +738,6 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	if tr != nil {
 		tr.Op = op.String()
 		tr.K = k
-		tr.Keys = make([]string, len(req.Keys))
-		for i, key := range req.Keys {
-			tr.Keys[i] = e.cfg.EncodeKey(key)
-		}
 	}
 	start := time.Now()
 	now := e.clk.Now()
@@ -737,50 +745,56 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	// Pin the recycler epoch: record pointers copied out of entries
 	// below are read (and handed to OnAccess) without locks, so no
 	// wrapper may be recycled until this search ends. A no-op under
-	// AllocPolicy=heap.
+	// AllocPolicy=heap. The scratch holding those pointers goes back to
+	// its pool (zeroed) before the deferred Unpin runs.
 	ep := e.recycler.Pin()
 	defer e.recycler.Unpin(ep)
+	sc := e.getQueryScratch()
+	defer e.putQueryScratch(sc)
 
 	// Gather per-key candidates from memory, touching each entry's
-	// last-queried timestamp (Phase 3 bookkeeping).
-	recsByID := make(map[types.ID]*store.Record)
-	lists := make([][]query.Item, 0, len(req.Keys))
+	// last-queried timestamp (Phase 3 bookkeeping). Every key's items
+	// land back to back in sc.items; sc.ends marks where each key's
+	// run stops.
 	everyKeyFilled := true // every queried key contributed >= k candidates
-	for ki, key := range req.Keys {
+	for _, key := range req.Keys {
 		en := e.idx.Entry(key)
 		if en == nil {
-			lists = append(lists, nil)
+			sc.ends = append(sc.ends, len(sc.items))
 			everyKeyFilled = false
 			if tr != nil {
-				tr.AddEntry(trace.EntryProbe{Key: tr.Keys[ki]})
+				tr.AddEntry(trace.EntryProbe{})
 			}
 			continue
 		}
 		en.Touch(now)
-		var recs []*store.Record
 		if op == query.OpAnd {
 			// Intersection needs every posting: under the MK extension
 			// entries may hold beyond-top-k postings kept exactly for
 			// AND queries.
-			recs = en.All()
+			sc.recs = en.AppendAll(sc.recs[:0])
 		} else {
-			recs = en.TopK(k)
+			sc.recs = en.AppendTopK(sc.recs[:0], k)
 		}
-		if len(recs) < k {
+		if len(sc.recs) < k {
 			everyKeyFilled = false
 		}
-		items := make([]query.Item, len(recs))
-		for i, r := range recs {
-			items[i] = query.Item{MB: r.MB, Score: r.Score}
-			recsByID[r.MB.ID] = r
+		for _, r := range sc.recs {
+			sc.items = append(sc.items, query.MemoryItem(r))
 		}
-		lists = append(lists, items)
+		sc.ends = append(sc.ends, len(sc.items))
 		if tr != nil {
 			n := en.Len()
-			tr.AddEntry(trace.EntryProbe{
-				Key: tr.Keys[ki], Found: true, Postings: n, KFilled: n >= k,
-			})
+			tr.AddEntry(trace.EntryProbe{Found: true, Postings: n, KFilled: n >= k})
 		}
+	}
+	lo := 0
+	for _, hi := range sc.ends {
+		sc.lists = append(sc.lists, sc.items[lo:hi])
+		lo = hi
+	}
+	if tr != nil && !slowCapture {
+		e.labelTrace(tr, req.Keys)
 	}
 	gatherEnd := time.Now()
 	e.reg.ObserveQueryStage(metrics.QStageIndex, gatherEnd.Sub(start))
@@ -795,16 +809,15 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	var hit bool
 	switch op {
 	case query.OpSingle:
-		mem = lists[0]
-		if len(mem) > k {
-			mem = mem[:k]
-		}
+		mem = sc.lists[0]
 		hit = len(mem) >= k
 	case query.OpOr:
-		mem = query.MergeTopK(lists, k)
+		sc.ranked = query.AppendMergeTopK(sc.ranked[:0], sc.lists, k)
+		mem = sc.ranked
 		hit = everyKeyFilled && len(mem) >= k
 	case query.OpAnd:
-		mem = query.IntersectTopK(lists, k)
+		sc.ranked = query.AppendIntersectTopK(sc.ranked[:0], sc.lists, k)
+		mem = sc.ranked
 		hit = len(mem) >= k
 	}
 	e.reg.ObserveQueryStage(metrics.QStageHeap, time.Since(gatherEnd))
@@ -815,7 +828,8 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 		tr.Stage("memory", start)
 	}
 
-	res := query.Result{Items: mem, MemoryHit: hit}
+	answer := mem
+	res := query.Result{MemoryHit: hit}
 	if !res.MemoryHit {
 		res.DiskChecked = true
 		diskStart := time.Now()
@@ -826,20 +840,29 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 		if tr != nil {
 			tr.Stage("disk", diskStart)
 		}
-		res.Items = query.MergeTopK([][]query.Item{mem, diskItems}, k)
+		sc.final = query.AppendMergeTopK(sc.final[:0], [][]query.Item{mem, diskItems}, k)
+		answer = sc.final
 		e.reg.ObserveQueryStage(metrics.QStageDisk, time.Since(diskStart))
 	}
 
-	// Inform the policy which memory records the answer used (LRU
-	// relinks them; kFlushing and FIFO ignore the call).
-	touched := make([]*store.Record, 0, len(res.Items))
-	for _, it := range res.Items {
-		if r, ok := recsByID[it.MB.ID]; ok {
-			touched = append(touched, r)
+	// Inform an access-ordered policy (LRU) which memory records the
+	// answer used: exactly the answer items that carry a record.
+	if e.observesAccess {
+		for _, it := range answer {
+			if r := it.Record(); r != nil {
+				sc.touched = append(sc.touched, r)
+			}
+		}
+		if len(sc.touched) > 0 {
+			e.pol.OnAccess(sc.touched)
 		}
 	}
-	if len(touched) > 0 {
-		e.pol.OnAccess(touched)
+	// The caller owns its items: a fresh slice, records detached.
+	if len(answer) > 0 {
+		res.Items = make([]query.Item, len(answer))
+		for i, it := range answer {
+			res.Items[i] = it.Detached()
+		}
 	}
 
 	elapsed := time.Since(start)
@@ -849,9 +872,66 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 		tr.Stage("total", start)
 	}
 	if slowCapture && elapsed.Nanoseconds() >= e.cfg.SlowQueryNanos {
+		e.labelTrace(tr, req.Keys)
 		e.slowlog.Add(tr, elapsed.Nanoseconds())
 	}
 	return res, nil
+}
+
+// queryScratch is the reusable working set of one Search: the staged
+// postings of the key being gathered, every key's candidate items back
+// to back, the per-key windows into them, and the merge outputs. It
+// holds record pointers, so it is used only while the recycler epoch is
+// pinned and is zeroed before it returns to the pool; nothing in it
+// outlives the call (Result.Items is a fresh copy).
+type queryScratch struct {
+	recs    []*store.Record
+	items   []query.Item
+	ends    []int
+	lists   [][]query.Item
+	ranked  []query.Item
+	final   []query.Item
+	touched []*store.Record
+}
+
+// getQueryScratch returns a pooled scratch, or a fresh one under
+// AllocPolicy=heap.
+func (e *Engine[K]) getQueryScratch() *queryScratch {
+	if e.qscratch == nil {
+		return &queryScratch{}
+	}
+	return e.qscratch.Get().(*queryScratch)
+}
+
+// putQueryScratch zeroes every pointer the search left in sc, so the
+// pool never pins records or microblogs across queries, and returns it
+// to the pool.
+func (e *Engine[K]) putQueryScratch(sc *queryScratch) {
+	if e.qscratch == nil {
+		return
+	}
+	clear(sc.recs)
+	clear(sc.items)
+	clear(sc.lists)
+	clear(sc.ranked)
+	clear(sc.final)
+	clear(sc.touched)
+	sc.recs, sc.items, sc.ends, sc.lists = sc.recs[:0], sc.items[:0], sc.ends[:0], sc.lists[:0]
+	sc.ranked, sc.final, sc.touched = sc.ranked[:0], sc.final[:0], sc.touched[:0]
+	e.qscratch.Put(sc)
+}
+
+// labelTrace records the query's encoded keys on tr, in the trace and
+// on each memory probe (one per key, in request order). A speculative
+// slow-query trace is labelled only once it is kept.
+func (e *Engine[K]) labelTrace(tr *trace.Trace, keys []K) {
+	tr.Keys = make([]string, len(keys))
+	for i, key := range keys {
+		tr.Keys[i] = e.cfg.EncodeKey(key)
+		if i < len(tr.Entries) {
+			tr.Entries[i].Key = tr.Keys[i]
+		}
+	}
 }
 
 // diskSearch is the memory-miss fallback: it coalesces concurrent

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/ranking"
+	"kflushing/internal/store"
 	"kflushing/internal/types"
 )
 
@@ -345,5 +347,109 @@ func TestLRUEngineIntegration(t *testing.T) {
 	}
 	if !res.MemoryHit {
 		t.Error("constantly queried key missed memory under LRU")
+	}
+}
+
+// accessRecorder wraps a policy and records the IDs of every OnAccess
+// call. It forwards the access capability only when forward is set —
+// the wrapper rule DESIGN.md §7.10 states.
+type accessRecorder struct {
+	policy.Policy[string]
+	forward bool
+	calls   [][]*store.Record
+}
+
+func (a *accessRecorder) ObservesAccess() bool {
+	return a.forward && policy.ObservesAccess(a.Policy)
+}
+
+func (a *accessRecorder) OnAccess(recs []*store.Record) {
+	a.calls = append(a.calls, slices.Clone(recs))
+	a.Policy.OnAccess(recs)
+}
+
+// TestLRUOnAccessGetsAnswerRecords checks that access feedback reaches
+// LRU with exactly the memory records an answer used — for a memory
+// hit, an OR hit, and a miss whose answer mixes memory and disk items —
+// each as the resident record itself; and that a policy without the
+// capability is never called.
+func TestLRUOnAccessGetsAnswerRecords(t *testing.T) {
+	rec := &accessRecorder{Policy: policy.NewLRU[string](), forward: true}
+	eng := newKeywordEngine(t, 64<<20, rec, false)
+	for i := 1; i <= 12; i++ {
+		ingest(t, eng, int64(i), "x")
+		if i%3 == 0 {
+			ingest(t, eng, int64(i), "x", "y")
+		}
+	}
+	// Evict the three least recently used records to disk.
+	for i := 0; i < 3; i++ {
+		if _, err := eng.Policy().Flush(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resident := map[types.ID]*store.Record{}
+	for _, key := range []string{"x", "y"} {
+		for _, r := range eng.Index().Entry(key).AppendAll(nil) {
+			resident[r.MB.ID] = r
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		req  query.Request[string]
+		miss bool
+	}{
+		{"hit", query.Request[string]{Keys: []string{"x"}, K: 3}, false},
+		{"or-hit", query.Request[string]{Keys: []string{"x", "y"}, Op: query.OpOr, K: 3}, false},
+		{"miss", query.Request[string]{Keys: []string{"x"}, K: 16}, true},
+	} {
+		rec.calls = nil
+		res, err := eng.Search(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DiskChecked != tc.miss {
+			t.Fatalf("%s: disk checked = %v, want %v", tc.name, res.DiskChecked, tc.miss)
+		}
+		var want []types.ID
+		onDisk := 0
+		for _, it := range res.Items {
+			if it.Record() != nil {
+				t.Fatalf("%s: answer item %d leaks its record", tc.name, it.MB.ID)
+			}
+			if _, ok := resident[it.MB.ID]; ok {
+				want = append(want, it.MB.ID)
+			} else {
+				onDisk++
+			}
+		}
+		if tc.miss && (onDisk == 0 || len(want) == 0) {
+			t.Fatalf("%s: answer has %d memory and %d disk items, want both", tc.name, len(want), onDisk)
+		}
+		if len(rec.calls) != 1 {
+			t.Fatalf("%s: %d OnAccess calls, want 1", tc.name, len(rec.calls))
+		}
+		var got []types.ID
+		for _, r := range rec.calls[0] {
+			if resident[r.MB.ID] != r {
+				t.Fatalf("%s: OnAccess got record %d that is not the resident one", tc.name, r.MB.ID)
+			}
+			got = append(got, r.MB.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: OnAccess got %v, want the answer's memory records %v", tc.name, got, want)
+		}
+	}
+
+	silent := &accessRecorder{Policy: core.New[string]()}
+	eng = newKeywordEngine(t, 64<<20, silent, false)
+	for i := 1; i <= 8; i++ {
+		ingest(t, eng, int64(i), "x")
+	}
+	if _, err := eng.Search(query.Request[string]{Keys: []string{"x"}, K: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if len(silent.calls) != 0 {
+		t.Fatalf("policy without the access capability got %d OnAccess calls", len(silent.calls))
 	}
 }

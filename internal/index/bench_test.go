@@ -57,7 +57,7 @@ func BenchmarkTopK(b *testing.B) {
 	e := ix.Entry("hot")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := e.TopK(20); len(got) != 20 {
+		if got := e.AppendTopK(nil, 20); len(got) != 20 {
 			b.Fatal("short top-k")
 		}
 	}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,6 +23,10 @@ import (
 // opposite ends of the list.
 type Entry[K comparable] struct {
 	key K
+	// ord is the entry's creation ordinal within its index, assigned
+	// under the shard lock: the tie-break that makes Phase 2/3 victim
+	// order total when timestamps tie.
+	ord uint64
 
 	mu       sync.Mutex
 	postings []*store.Record // ascending (Score, ID)
@@ -48,6 +53,10 @@ type Entry[K comparable] struct {
 
 // Key returns the entry's key.
 func (e *Entry[K]) Key() K { return e.key }
+
+// Ord returns the entry's creation ordinal: entries created earlier in
+// the index have smaller ordinals, and no two share one.
+func (e *Entry[K]) Ord() uint64 { return e.ord }
 
 // LastArrival returns the timestamp of the most recent insertion.
 func (e *Entry[K]) LastArrival() types.Timestamp {
@@ -142,31 +151,32 @@ func (e *Entry[K]) insert(rec *store.Record, k int, trackTopK bool) (ok, crossed
 	return true, crossed
 }
 
-// TopK returns a copy of the top-k postings in ranking order (highest
-// score first).
-func (e *Entry[K]) TopK(k int) []*store.Record {
+// AppendTopK appends the top-k postings to dst in ranking order
+// (highest score first) and returns the extended slice.
+func (e *Entry[K]) AppendTopK(dst []*store.Record, k int) []*store.Record {
 	e.mu.Lock()
 	n := len(e.postings)
 	if k > n {
 		k = n
 	}
-	out := make([]*store.Record, k)
+	dst = slices.Grow(dst, k)
 	for i := 0; i < k; i++ {
-		out[i] = e.postings[n-1-i]
+		dst = append(dst, e.postings[n-1-i])
 	}
 	e.mu.Unlock()
-	return out
+	return dst
 }
 
-// All returns a copy of every posting in ranking order (highest first).
-func (e *Entry[K]) All() []*store.Record {
+// AppendAll appends every posting to dst in ranking order (highest
+// first) and returns the extended slice.
+func (e *Entry[K]) AppendAll(dst []*store.Record) []*store.Record {
 	e.mu.Lock()
-	out := make([]*store.Record, len(e.postings))
-	for i, r := range e.postings {
-		out[len(out)-1-i] = r
+	dst = slices.Grow(dst, len(e.postings))
+	for i := len(e.postings) - 1; i >= 0; i-- {
+		dst = append(dst, e.postings[i])
 	}
 	e.mu.Unlock()
-	return out
+	return dst
 }
 
 // BeyondTopK returns how many postings rank outside the top-k — the

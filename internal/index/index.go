@@ -71,6 +71,8 @@ type Index[K comparable] struct {
 
 	entryCount   atomic.Int64
 	postingCount atomic.Int64
+	// entryOrds numbers entry creations (see Entry.Ord).
+	entryOrds atomic.Uint64
 
 	// overMu guards overK, the paper's list L of entries that exceeded
 	// k postings since the last Phase 1 run.
@@ -163,7 +165,7 @@ func (ix *Index[K]) getOrCreate(key K) *Entry[K] {
 		e = nil
 	}
 	if e == nil {
-		e = &Entry[K]{key: key, trackTopK: ix.cfg.TrackTopK, pool: ix.cfg.Pool}
+		e = &Entry[K]{key: key, ord: ix.entryOrds.Add(1), trackTopK: ix.cfg.TrackTopK, pool: ix.cfg.Pool}
 		sh.entries[key] = e
 		ix.entryCount.Add(1)
 		if ix.cfg.Tracker != nil {

@@ -41,7 +41,7 @@ func TestInsertOrdering(t *testing.T) {
 	if e == nil {
 		t.Fatal("entry missing")
 	}
-	top := e.TopK(3)
+	top := e.AppendTopK(nil, 3)
 	want := []int64{9, 7, 5}
 	for i, r := range top {
 		if int64(r.MB.Timestamp) != want[i] {
@@ -320,7 +320,7 @@ func TestTopKProperty(t *testing.T) {
 		if count < k {
 			k = count
 		}
-		top := e.TopK(5)
+		top := e.AppendTopK(nil, 5)
 		if len(top) != k {
 			return false
 		}
@@ -430,7 +430,7 @@ func TestTopKCounterConsistencyProperty(t *testing.T) {
 		// Ground truth: recount top-k membership from live entries.
 		want := map[types.ID]int32{}
 		ix.Range(func(e *Entry[string]) bool {
-			for _, r := range e.TopK(k) {
+			for _, r := range e.AppendTopK(nil, k) {
 				want[r.MB.ID]++
 			}
 			return true

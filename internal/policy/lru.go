@@ -79,6 +79,10 @@ func (l *LRU[K]) OnIngest(recs []*store.Record, _ [][]K) {
 	l.len.Add(int64(len(recs)))
 }
 
+// ObservesAccess implements AccessObserver: LRU orders records by use,
+// so it needs every query's accesses.
+func (l *LRU[K]) ObservesAccess() bool { return true }
+
 // OnAccess moves the touched records to the list head — the per-query
 // relinking that makes the global list a contention point.
 func (l *LRU[K]) OnAccess(recs []*store.Record) {

@@ -95,7 +95,10 @@ type Policy[K comparable] interface {
 	// a per-record ingest arrives as a batch of one.
 	OnIngest(recs []*store.Record, keys [][]K)
 	// OnAccess runs after a query touched the given records from
-	// memory. Only access-ordered policies (LRU) need it.
+	// memory. Only access-ordered policies (LRU) need it, and the engine
+	// calls it only for policies reporting the AccessObserver
+	// capability. recs is the engine's scratch, valid only during the
+	// call.
 	OnAccess(recs []*store.Record)
 	// Flush evicts at least target bytes when possible, returning the
 	// bytes actually freed from the budget-relevant gauges.
@@ -104,6 +107,24 @@ type Policy[K comparable] interface {
 	// the quantity of the paper's Figure 10(a) — including the peak
 	// temporary flush buffer.
 	OverheadBytes() int64
+}
+
+// AccessObserver is the optional Policy capability that asks for access
+// feedback. The engine builds the list of memory records a query's
+// answer used, and calls OnAccess with it, only for a policy whose
+// ObservesAccess reports true; every other policy costs queries
+// nothing. A wrapper around a policy must forward the capability —
+// implement it as ObservesAccess(inner) — or the wrapped policy
+// silently stops receiving accesses.
+type AccessObserver interface {
+	ObservesAccess() bool
+}
+
+// ObservesAccess reports whether p asks for access feedback through the
+// AccessObserver capability.
+func ObservesAccess(p any) bool {
+	a, ok := p.(AccessObserver)
+	return ok && a.ObservesAccess()
 }
 
 // VictimBuffer accumulates records whose last reference was trimmed,

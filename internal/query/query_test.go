@@ -112,7 +112,7 @@ func TestMergeTopKProperty(t *testing.T) {
 				}
 			}
 		}
-		sort.Slice(all, func(i, j int) bool { return Less(all[i], all[j]) })
+		sort.Slice(all, func(i, j int) bool { return Compare(all[i], all[j]) < 0 })
 		if len(all) > k {
 			all = all[:k]
 		}
@@ -122,7 +122,7 @@ func TestMergeTopKProperty(t *testing.T) {
 		}
 		for i := range got {
 			// Scores must match rank for rank; IDs may differ only on
-			// exact (score, ID) ties, which Less fully orders, so
+			// exact (score, ID) ties, which Compare fully orders, so
 			// require identical IDs too.
 			if got[i].MB.ID != all[i].MB.ID {
 				return false
@@ -171,5 +171,171 @@ func TestIntersectProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refMergeTopK is the map-based MergeTopK the sort-based one replaced,
+// kept as the equivalence reference.
+func refMergeTopK(lists [][]Item, k int) []Item {
+	var all []Item
+	seen := make(map[types.ID]struct{})
+	for _, l := range lists {
+		for _, it := range l {
+			if _, dup := seen[it.MB.ID]; dup {
+				continue
+			}
+			seen[it.MB.ID] = struct{}{}
+			all = append(all, it)
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return Compare(all[i], all[j]) < 0 })
+	if len(all) > k {
+		all = all[:k]
+	}
+	return all
+}
+
+// refIntersectTopK is the map-based IntersectTopK the two-pointer walk
+// replaced, kept as the equivalence reference.
+func refIntersectTopK(lists [][]Item, k int) []Item {
+	if len(lists) == 0 {
+		return nil
+	}
+	if len(lists) == 1 {
+		out := append([]Item(nil), lists[0]...)
+		sort.Slice(out, func(i, j int) bool { return Compare(out[i], out[j]) < 0 })
+		if len(out) > k {
+			out = out[:k]
+		}
+		return out
+	}
+	counts := make(map[types.ID]int)
+	keep := make(map[types.ID]Item)
+	for _, l := range lists {
+		for _, it := range l {
+			counts[it.MB.ID]++
+			keep[it.MB.ID] = it
+		}
+	}
+	var out []Item
+	for id, c := range counts {
+		if c == len(lists) {
+			out = append(out, keep[id])
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return Compare(out[i], out[j]) < 0 })
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+func sameItems(a, b []Item) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].MB.ID != b[i].MB.ID || a[i].Score != b[i].Score {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMergeTopKMatchesReference checks the sort-based merge against the
+// map-based reference on random unsorted lists, duplicate IDs with
+// conflicting scores (first occurrence wins) and k beyond the input.
+func TestMergeTopKMatchesReference(t *testing.T) {
+	f := func(seed int64, kRaw uint8, sorted bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k := int(kRaw%70) + 1
+		lists := make([][]Item, rng.Intn(5))
+		for l := range lists {
+			for i, n := 0, rng.Intn(25); i < n; i++ {
+				lists[l] = append(lists[l], it(uint64(rng.Intn(40)+1), float64(rng.Intn(8))))
+			}
+			if sorted {
+				SortRanked(lists[l])
+			}
+		}
+		want := refMergeTopK(lists, k)
+		if got := MergeTopK(lists, k); !sameItems(got, want) {
+			t.Logf("k=%d lists=%v: got %v, want %v", k, lists, ids(got), ids(want))
+			return false
+		}
+		// The append form leaves dst's prefix alone.
+		prefix := []Item{it(999, 1)}
+		got := AppendMergeTopK(prefix, lists, k)
+		return got[0].MB.ID == 999 && sameItems(got[1:], want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIntersectTopKMatchesReference checks the two-pointer intersection
+// against the map-based reference: one to nine lists, sorted or not,
+// scores fixed per ID (the contract: one record, one score) and k both
+// below and beyond the intersection.
+func TestIntersectTopKMatchesReference(t *testing.T) {
+	f := func(seed int64, kRaw uint8, sorted bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k := int(kRaw%30) + 1
+		score := make([]float64, 31)
+		for i := range score {
+			score[i] = float64(rng.Intn(6))
+		}
+		lists := make([][]Item, rng.Intn(9)+1)
+		for l := range lists {
+			for _, id := range rng.Perm(30)[:rng.Intn(25)] {
+				lists[l] = append(lists[l], it(uint64(id+1), score[id+1]))
+			}
+			if sorted {
+				SortRanked(lists[l])
+			}
+		}
+		want := refIntersectTopK(lists, k)
+		if got := IntersectTopK(lists, k); !sameItems(got, want) {
+			t.Logf("k=%d: got %v, want %v", k, ids(got), ids(want))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIntersectTopKLeavesInputs pins that unsorted inputs are sorted in
+// a copy, never in place: the disk tier and the engine reuse them.
+func TestIntersectTopKLeavesInputs(t *testing.T) {
+	a := []Item{it(1, 1), it(2, 5), it(3, 3)}
+	b := []Item{it(3, 3), it(2, 5)}
+	got := IntersectTopK([][]Item{a, b}, 5)
+	if len(got) != 2 || got[0].MB.ID != 2 || got[1].MB.ID != 3 {
+		t.Fatalf("got %v", ids(got))
+	}
+	if a[0].MB.ID != 1 || b[0].MB.ID != 3 {
+		t.Fatalf("inputs reordered: %v %v", ids(a), ids(b))
+	}
+}
+
+// TestRankedHelpersAllocs pins the helpers' allocation floor on the
+// engine's inputs: ranked lists and a reusable destination.
+func TestRankedHelpersAllocs(t *testing.T) {
+	var a, b []Item
+	for i := 40; i > 0; i-- {
+		a = append(a, it(uint64(i), float64(i)))
+		if i%2 == 0 {
+			b = append(b, it(uint64(i), float64(i)))
+		}
+	}
+	lists := [][]Item{a, b}
+	dst := make([]Item, 0, 128)
+	if n := testing.AllocsPerRun(100, func() { dst = AppendMergeTopK(dst[:0], lists, 20) }); n != 0 {
+		t.Errorf("AppendMergeTopK allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { dst = AppendIntersectTopK(dst[:0], lists, 20) }); n != 0 {
+		t.Errorf("AppendIntersectTopK allocates %.1f/op, want 0", n)
 	}
 }

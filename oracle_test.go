@@ -270,7 +270,7 @@ func checkFlushInvariants(t *testing.T, sys *kflushing.System) {
 		t.Fatalf("flush freed %d bytes, more than the %d in use", freed, usedBefore)
 	}
 	eng.Index().Range(func(e *index.Entry[string]) bool {
-		for _, rec := range e.All() {
+		for _, rec := range e.AppendAll(nil) {
 			if rec.PCount() <= 0 {
 				t.Fatalf("entry %q holds a posting for record %d with pcount %d",
 					e.Key(), rec.MB.ID, rec.PCount())
